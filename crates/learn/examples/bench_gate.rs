@@ -124,25 +124,55 @@ const CHAOS_VS_CLEAN_MAX: f64 = 1.25;
 /// runner speed cancels.
 const BUDGET_VS_CLEAN_MAX: f64 = 1.5;
 
-/// Finds `"key": <value>` at or after `anchor` (the first occurrence of
-/// `anchor` in `text`) and parses the value token.
-fn number_after(text: &str, anchor: &str, key: &str) -> Option<f64> {
+/// The text of the JSON object around the first occurrence of
+/// `anchor`: from the anchor up to that object's closing brace, nested
+/// objects and arrays included, braces inside strings skipped. Key
+/// lookups search only this scope, so a key missing from one block
+/// never reads the next block's value.
+fn scope<'a>(text: &'a str, anchor: &str) -> Option<&'a str> {
     let start = text.find(anchor)?;
+    let from = start + anchor.len();
+    let (mut depth, mut in_str, mut escaped) = (0usize, false, false);
+    for (i, c) in text[from..].char_indices() {
+        if in_str {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => in_str = false,
+                _ => {}
+            }
+            continue;
+        }
+        match c {
+            '"' => in_str = true,
+            '{' | '[' => depth += 1,
+            '}' | ']' if depth == 0 => return Some(&text[start..from + i]),
+            '}' | ']' => depth -= 1,
+            _ => {}
+        }
+    }
+    Some(&text[start..])
+}
+
+/// The value token of `"key":` inside `anchor`'s object.
+fn value_after<'a>(text: &'a str, anchor: &str, key: &str) -> Option<&'a str> {
+    let scope = scope(text, anchor)?;
     let needle = format!("\"{key}\":");
-    let at = text[start..].find(&needle)? + start + needle.len();
-    let rest = text[at..].trim_start();
+    Some(scope[scope.find(&needle)? + needle.len()..].trim_start())
+}
+
+/// Numeric value of `"key":` inside `anchor`'s object (see [`scope`]).
+fn number_after(text: &str, anchor: &str, key: &str) -> Option<f64> {
+    let rest = value_after(text, anchor, key)?;
     let end = rest
         .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
 }
 
-/// `true`/`false` value of `"key":` after `anchor`.
+/// `true`/`false` value of `"key":` inside `anchor`'s object.
 fn bool_after(text: &str, anchor: &str, key: &str) -> Option<bool> {
-    let start = text.find(anchor)?;
-    let needle = format!("\"{key}\":");
-    let at = text[start..].find(&needle)? + start + needle.len();
-    let rest = text[at..].trim_start();
+    let rest = value_after(text, anchor, key)?;
     if rest.starts_with("true") {
         Some(true)
     } else if rest.starts_with("false") {
@@ -490,5 +520,40 @@ fn main() {
             eprintln!("bench gate FAILURE: {f}");
         }
         exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const MODELS: &str = r#"{"smoke": false, "models": [
+      {"model": "linear", "final_vs_expert_ratio": 0.9, "note": "}{",
+       "resilience": {"faults_injected": 0}},
+      {"model": "tree_conv", "final_vs_expert_ratio": 1.2, "train_batched_secs": 3.5,
+       "converged": true}
+    ]}"#;
+
+    /// A key that exists only in a later block is not found through an
+    /// earlier block's anchor.
+    #[test]
+    fn lookups_stay_inside_the_anchor_object() {
+        let linear = "\"model\": \"linear\"";
+        let tree_conv = "\"model\": \"tree_conv\"";
+        assert_eq!(number_after(MODELS, linear, "train_batched_secs"), None);
+        assert_eq!(bool_after(MODELS, linear, "converged"), None);
+        assert_eq!(
+            number_after(MODELS, tree_conv, "train_batched_secs"),
+            Some(3.5)
+        );
+        assert_eq!(bool_after(MODELS, tree_conv, "converged"), Some(true));
+        // Own keys, keys of nested objects, and the root scope.
+        assert_eq!(
+            number_after(MODELS, linear, "final_vs_expert_ratio"),
+            Some(0.9)
+        );
+        assert_eq!(number_after(MODELS, linear, "faults_injected"), Some(0.0));
+        assert_eq!(bool_after(MODELS, "{", "smoke"), Some(false));
+        assert_eq!(number_after(MODELS, "\"missing\"", "smoke"), None);
     }
 }

@@ -277,10 +277,15 @@ pub struct FitReport {
     /// Mean squared error (censored samples via one-sided hinge) over
     /// the training set after fitting.
     pub mse: f64,
-    /// Measured wall seconds in the forward passes (0 for models whose
-    /// fit does not separate the phases, e.g. the linear regressor).
+    /// Measured caller-thread wall seconds of the forward side (0 for
+    /// models whose fit does not separate the phases, e.g. the linear
+    /// regressor). For a pooled fit this is the wall of the parallel
+    /// per-sample phase, which fuses the forward pass with per-sample
+    /// backprop, not the pool's summed busy time.
     pub forward_secs: f64,
-    /// Measured wall seconds in backprop + parameter updates.
+    /// Measured caller-thread wall seconds of the backward side:
+    /// gradient accumulation and parameter updates. The two fields
+    /// still sum to the fit's wall (less its one-off set-up).
     pub backward_secs: f64,
 }
 

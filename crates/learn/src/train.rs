@@ -94,12 +94,16 @@ pub struct TrainConfig {
     /// parallel makespan.
     pub planning_threads: usize,
     /// Worker threads for the fine-tuning phase's plan *executions*
-    /// (1 = serial) — first-touch true-cardinality joins materialize
+    /// and for every model fit, pretraining included (1 = serial).
+    /// Executions: first-touch true-cardinality joins materialize
     /// concurrently. Queries within an iteration are distinct and
     /// timeout budgets derive only from prior iterations, so every
     /// observed latency, label, and cache decision is independent of
     /// the thread count; the clock is charged the batch makespan via
-    /// [`ExecutionEnv::charge_execution_batch`].
+    /// [`ExecutionEnv::charge_execution_batch`]. Fits: the tree-conv
+    /// model runs each minibatch on this pool
+    /// ([`TreeConvValueModel::with_pool`]) with every sum kept in
+    /// minibatch order, so checkpoints are bit-identical for any width.
     pub training_threads: usize,
     /// Retry policy for fine-tuning executions. With no fault injector
     /// armed on the env, at most one attempt ever runs and the loop is
@@ -220,10 +224,16 @@ impl TrainConfig {
 /// nothing downstream is keyed on them.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TrainBreakdown {
-    /// Model-fit forward passes (the batched tree-conv kernels; 0 for
-    /// models that do not separate phases).
+    /// Model-fit forward side, summed [`FitReport::forward_secs`]: the
+    /// caller thread's wall through the parallel per-sample phase
+    /// (forward and per-sample backprop are fused there), not summed
+    /// busy time of the pool; 0 for models that do not separate
+    /// phases.
     pub forward_secs: f64,
-    /// Model-fit backprop + parameter updates.
+    /// Model-fit backward side, summed [`FitReport::backward_secs`]:
+    /// the caller's wall through gradient accumulation and the
+    /// parameter updates. With `forward_secs` it still sums to the fit
+    /// wall.
     pub backward_secs: f64,
     /// Subplan featurization (pretraining + fine-tuning), as the
     /// parallel phases' wall-clock.
@@ -301,13 +311,19 @@ pub struct TrainOutcome {
 }
 
 /// Instantiates an untrained model of `kind` sized for `featurizer`.
-pub fn make_model(kind: ModelKind, featurizer: &Featurizer) -> Box<dyn ValueModel> {
+/// Tree-conv fits run their minibatches on `pool` (bit-identical for
+/// any width); the linear regressor's fit is serial.
+pub fn make_model(
+    kind: ModelKind,
+    featurizer: &Featurizer,
+    pool: &WorkerPool,
+) -> Box<dyn ValueModel> {
     match kind {
         ModelKind::Linear => Box::new(LinearValueModel::new(featurizer.dim())),
-        ModelKind::TreeConv => Box::new(TreeConvValueModel::new(
-            featurizer.node_dim(),
-            TreeConvConfig::default(),
-        )),
+        ModelKind::TreeConv => Box::new(
+            TreeConvValueModel::new(featurizer.node_dim(), TreeConvConfig::default())
+                .with_pool(pool.clone()),
+        ),
     }
 }
 
@@ -463,7 +479,18 @@ pub fn train_loop(
     let est = HistogramEstimator::new(db);
     let featurizer = Featurizer::new(db.clone(), profile.weights, profile.bushy_hints);
     let mut buffer = ExperienceBuffer::new();
-    let probe = make_model(cfg.model, &featurizer);
+    let pool = WorkerPool::new(cfg.planning_threads);
+    // The training pool runs fine-tuning executions and every model
+    // fit. It is persistent: when both widths agree, share one set of
+    // parked workers instead of spawning a second pool (clones share
+    // workers).
+    let train_pool = if cfg.training_threads == cfg.planning_threads {
+        pool.clone()
+    } else {
+        WorkerPool::new(cfg.training_threads)
+    };
+    let new_model = || make_model(cfg.model, &featurizer, &train_pool);
+    let probe = new_model();
     let enc = probe.encoding();
     let cfg_fp = cfg.fingerprint(env);
     // Evaluation runs on a twin environment: latencies are deterministic
@@ -475,7 +502,6 @@ pub fn train_loop(
     let eval_env = ExecutionEnv::with_truth(env.truth_arc(), *profile, SimClock::paper_default());
 
     let mut breakdown = TrainBreakdown::default();
-    let pool = WorkerPool::new(cfg.planning_threads);
 
     // Workload generators only emit connected queries, so evaluation
     // planning cannot fail (a finite budget degrades instead of
@@ -576,20 +602,15 @@ pub fn train_loop(
                 source: e.source,
             });
         }
-        let mut m: Box<dyn ValueModel> = Box::new(ResidualValueModel::new(
-            make_model(cfg.model, &featurizer),
-            make_model(cfg.model, &featurizer),
-        ));
+        let mut m: Box<dyn ValueModel> =
+            Box::new(ResidualValueModel::new(new_model(), new_model()));
         m.load_state(&data.model_state)
             .unwrap_or_else(|e| panic!("checkpoint model state: {e}"));
         model = m;
         let mut bm: Box<dyn ValueModel> = if data.best_is_residual {
-            Box::new(ResidualValueModel::new(
-                make_model(cfg.model, &featurizer),
-                make_model(cfg.model, &featurizer),
-            ))
+            Box::new(ResidualValueModel::new(new_model(), new_model()))
         } else {
-            make_model(cfg.model, &featurizer)
+            new_model()
         };
         bm.load_state(&data.best_model_state)
             .unwrap_or_else(|e| panic!("checkpoint best-model state: {e}"));
@@ -719,24 +740,13 @@ pub fn train_loop(
         // therefore starts exactly at the pretrained policy, and
         // fine-tuning moves it only where real evidence pulls — the
         // stable counterpart of the paper's sim-to-real transfer.
-        model = Box::new(ResidualValueModel::new(
-            pre,
-            make_model(cfg.model, &featurizer),
-        ));
+        model = Box::new(ResidualValueModel::new(pre, new_model()));
         best_lat = HashMap::new();
         window = Vec::new();
         start_iter = 1;
     }
 
     // ---- Phase 2: real-execution fine-tuning (§4.2–§4.3) ----
-    // The pool is persistent: when the two phases are configured to the
-    // same width, share one set of parked workers instead of spawning a
-    // second pool (clones share workers).
-    let exec_pool = if cfg.training_threads == cfg.planning_threads {
-        pool.clone()
-    } else {
-        WorkerPool::new(cfg.training_threads)
-    };
     for iter in start_iter..=cfg.iterations {
         // Graceful degradation: when the recent failure+timeout rate
         // exceeds the threshold, plan this iteration with expert DP
@@ -829,7 +839,7 @@ pub fn train_loop(
             .collect();
         let jobs: Vec<usize> = (0..train_idx.len()).collect();
         let t_exec = Instant::now();
-        let executed = exec_pool.map(&jobs, |_, &j| {
+        let executed = train_pool.map(&jobs, |_, &j| {
             let q = &workload.queries[train_idx[j]];
             let t0 = Instant::now();
             let r = env
@@ -838,7 +848,7 @@ pub fn train_loop(
             (r, t0.elapsed().as_secs_f64())
         });
         breakdown.truecard_secs += t_exec.elapsed().as_secs_f64();
-        if exec_pool.threads().min(jobs.len()) > 1 {
+        if train_pool.threads().min(jobs.len()) > 1 {
             breakdown.truecard_jobs += jobs.len();
         }
         let mut lats = Vec::with_capacity(train_idx.len());

@@ -29,9 +29,11 @@ use crate::model::{
     shuffle_epoch_order, FeatureEncoding, FitReport, JoinStateItem, ModelState, Optimizer,
     SgdConfig, TrainSet, ValueModel, LRELU_SLOPE,
 };
+use balsa_search::WorkerPool;
 use rand::rngs::SmallRng;
 use rand::RngExt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Architecture of the tree-convolution network.
@@ -290,44 +292,179 @@ struct Forward {
     out: f64,
 }
 
-/// Reusable buffers for one minibatch through the batched training
-/// kernels — sized on first use and recycled across minibatches and
-/// epochs so the training hot loop performs no per-node allocation.
+/// One participant's contiguous share of a minibatch: its samples'
+/// trees, forward caches, and per-sample backprop results. Sized on first use and recycled
+/// across minibatches and epochs, so the training hot loop performs no
+/// per-node allocation.
+// Aligned so neighbouring shards' hot `Vec` headers never share a
+// cache line across participants.
 #[derive(Default)]
-struct BatchScratch {
-    /// Arena node of each batch slot (samples in minibatch order, nodes
+#[repr(align(128))]
+struct Shard {
+    /// Arena node of each shard slot (samples in minibatch order, nodes
     /// in post-order within a sample).
     node: Vec<u32>,
-    /// Batch-local children + 1 (`(0, 0)` = leaf).
+    /// Shard-local children + 1 (`(0, 0)` = leaf).
     kids: Vec<(u32, u32)>,
-    /// Sample `s` owns batch slots `sample_ofs[s]..sample_ofs[s + 1]`.
+    /// Sample `s` owns shard slots `sample_ofs[s]..sample_ofs[s + 1]`.
     sample_ofs: Vec<u32>,
-    /// Per-level activations, slot-major; `acts[0]` holds the gathered
-    /// node encodings and `acts[L]` feeds the pool.
+    /// Per-level activations, slot-major: `acts[l]` is conv layer `l`'s
+    /// output, and the last level feeds the pool.
     acts: Vec<Vec<f64>>,
     /// Per-level pre-activations, slot-major.
     pre: Vec<Vec<f64>>,
     /// Pooled channel maxima, `samples × C`.
     pooled: Vec<f64>,
-    /// Batch slot each pooled channel came from (gradient routing).
+    /// Shard slot each pooled channel came from (gradient routing).
     argmax: Vec<u32>,
     /// MLP hidden pre-activations / activations, `samples × H`.
     h_pre: Vec<f64>,
     h_act: Vec<f64>,
     /// Scalar outputs, one per sample.
     outs: Vec<f64>,
-    /// Per-sample backprop seed (`∂loss/∂out`) and hinge-activity flag,
-    /// filled by the caller between forward and backward.
+    /// Per-sample backprop seed (`∂loss/∂out`) and hinge-activity flag.
     d_outs: Vec<f64>,
     active: Vec<bool>,
-    /// Backprop: gradient wrt the current conv level's activations and
-    /// the level below (swapped per level), plus small per-node/sample
-    /// temporaries.
+    /// What gradient accumulation reads: `∂loss/∂z` of every conv level
+    /// (slot-major, `out_dim` wide) and of the head's hidden
+    /// pre-activations (`samples × H`). Valid for active samples only.
+    d_z: Vec<Vec<f64>>,
+    d_h_pre: Vec<f64>,
+    /// Per-sample backprop temporaries: gradient wrt the current conv
+    /// level's activations and the level below (swapped per level),
+    /// and wrt the pooled vector.
     d_act: Vec<f64>,
     d_below: Vec<f64>,
-    d_z: Vec<f64>,
     d_pooled: Vec<f64>,
-    d_h_pre: Vec<f64>,
+}
+
+impl Shard {
+    /// Conv layer `l`'s input row at slot `p`: the node encoding
+    /// straight from the arena for layer 0, else layer `l - 1`'s
+    /// activation.
+    fn input<'a>(&'a self, arena: &'a TreeArena, l: usize, p: usize, dim: usize) -> &'a [f64] {
+        let (src, q) = match l {
+            0 => (&arena.feats, self.node[p] as usize),
+            _ => (&self.acts[l - 1], p),
+        };
+        &src[q * dim..(q + 1) * dim]
+    }
+
+    /// Active samples in minibatch order, each with its slot range.
+    fn active_samples(&self) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> + '_ {
+        self.active
+            .iter()
+            .enumerate()
+            .filter(|&(_, &live)| live)
+            .map(|(si, _)| {
+                (
+                    si,
+                    self.sample_ofs[si] as usize..self.sample_ofs[si + 1] as usize,
+                )
+            })
+    }
+}
+
+/// Reusable minibatch state of the pooled training kernels: one
+/// [`Shard`] per pool participant, the first `used` holding the current
+/// minibatch in order.
+#[derive(Default)]
+struct FitScratch {
+    shards: Vec<Mutex<Shard>>,
+    used: usize,
+    /// The gradient's blocks, and their padded working copies.
+    specs: Vec<BlockSpec>,
+    padded: Vec<f64>,
+}
+
+/// What a minibatch pass computes after the forward pass.
+enum Pass<'d, 'g> {
+    /// Forward only: outputs for the training-error pass.
+    Forward,
+    /// Censored-hinge gate against `data`'s labels, per-sample backprop
+    /// seeded with `∂loss/∂out = residual · scale` (`scale` 1.0 is
+    /// exact, so the fit's seed is the bare residual), and gradient
+    /// accumulation onto `grad`.
+    Backprop {
+        data: &'d TrainSet,
+        scale: f64,
+        grad: &'g mut [f64],
+    },
+}
+
+/// Gradient rows per [`GradBlock`].
+const BLOCK_ROWS: usize = 8;
+
+/// A block of up to [`BLOCK_ROWS`] gradient rows of one layer, as
+/// ranges of the flat gradient: the `wn`, `wl`, `wr` and `b` rows of a
+/// conv layer, or the `w` and `b` rows of a head layer (in the `wn` and
+/// `b` slots, `wl`/`wr` empty).
+struct BlockSpec {
+    /// Conv layer index, or `conv.len() + h` for head layer `h`.
+    layer: usize,
+    rows: std::ops::Range<usize>,
+    segs: [std::ops::Range<usize>; 4],
+}
+
+/// One block handed down the pipeline of shards: shard `k` adds its
+/// samples once `turn == k`, then passes the block on, so every element
+/// sums over samples in minibatch order. Shard `k` stores `turn` with
+/// `Release` after unlocking `rows`, and shard `k + 1` loads it with
+/// `Acquire`, so the next shard sees every sum before it adds its own.
+#[repr(align(128))]
+struct GradBlock<'g> {
+    spec: &'g BlockSpec,
+    turn: AtomicUsize,
+    /// The block's working copy of its `segs`.
+    rows: Mutex<[&'g mut [f64]; 4]>,
+}
+
+/// Raises `abort` if its stage unwinds, so sibling stages waiting on a
+/// block the panicking stage will never pass on stop waiting (the pool
+/// rethrows the first panic).
+struct AbortOnUnwind<'a>(&'a AtomicBool);
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Waits until it is stage `k`'s turn on a block; false if a sibling
+/// stage panicked instead (its panic is the one the pool rethrows).
+fn wait_turn(turn: &AtomicUsize, k: usize, abort: &AtomicBool) -> bool {
+    let mut spins = 0u32;
+    while turn.load(Ordering::Acquire) != k {
+        if abort.load(Ordering::Relaxed) {
+            return false;
+        }
+        spins += 1;
+        if spins < 1 << 10 {
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+    }
+    true
+}
+
+/// Why no shard or block lock is ever found poisoned: a stage that
+/// panics stops every later stage before it reaches the panicking
+/// stage's locks, and the pool rethrows the panic before the caller
+/// reads any shard.
+const POISONED: &str = "a panicked stage's lock is never taken again";
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect(POISONED)
+}
+
+/// Splits the next `len` values off the front of `rest`.
+fn take<'g>(rest: &mut &'g mut [f64], len: usize) -> &'g mut [f64] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    head
 }
 
 /// Incremental per-subtree inference state (the [`ModelState`] payload):
@@ -349,6 +486,8 @@ pub struct TreeConvValueModel {
     head1: Dense,
     head2: Dense,
     fitted: bool,
+    /// Runs [`ValueModel::fit`]'s minibatch kernels (serial by default).
+    pool: WorkerPool,
 }
 
 impl TreeConvValueModel {
@@ -372,7 +511,19 @@ impl TreeConvValueModel {
             head1: Dense::new(in_dim, cfg.mlp_hidden),
             head2: Dense::new(cfg.mlp_hidden, 1),
             fitted: false,
+            pool: WorkerPool::new(1),
         }
+    }
+
+    /// Runs [`ValueModel::fit`]'s minibatches on `pool`: each one is
+    /// sharded by samples for forward and per-sample backprop, then by
+    /// gradient rows for the accumulation. Every gradient element still
+    /// sums over samples in minibatch order and nodes in post-order, so
+    /// checkpoints are bit-identical for any pool width — a 1-thread
+    /// pool (the default) is the serial path.
+    pub fn with_pool(mut self, pool: WorkerPool) -> Self {
+        self.pool = pool;
+        self
     }
 
     /// The node-encoding dimension this network convolves over.
@@ -616,32 +767,168 @@ impl TreeConvValueModel {
         mask
     }
 
-    /// Batched training forward over one minibatch of trees: the same
+    /// Splits minibatch positions `0..chunk.len()` into at most one
+    /// contiguous, non-empty range per pool participant, of roughly
+    /// equal node count.
+    fn shard_ranges(&self, arena: &TreeArena, chunk: &[usize]) -> Vec<(usize, usize)> {
+        let n = chunk.len();
+        let parts = self.pool.threads().clamp(1, n.max(1));
+        let size = |pos: usize| arena.tree(chunk[pos]).len();
+        let total: usize = (0..n).map(size).sum();
+        let (mut lo, mut acc) = (0, 0);
+        (0..parts)
+            .map(|k| {
+                // Take at least one sample, leave one for every later
+                // shard, and stop once the running node count reaches
+                // this shard's share of the total.
+                let target = total * (k + 1) / parts;
+                let mut hi = lo;
+                while hi < n - (parts - k - 1) && (hi == lo || acc < target) {
+                    acc += size(hi);
+                    hi += 1;
+                }
+                let range = (lo, hi);
+                lo = hi;
+                range
+            })
+            .collect()
+    }
+
+    /// Runs one minibatch on the pool. Every participant takes one
+    /// node-balanced contiguous shard of `chunk` and runs
+    /// [`TreeConvValueModel::shard_forward`] on it; for
+    /// [`Pass::Backprop`] it then gates and backprops its samples
+    /// ([`TreeConvValueModel::shard_backprop`]) and adds them into every
+    /// [`GradBlock`] in turn after the shard before it. All of that is
+    /// per-sample work or per-element sums in minibatch order, so the
+    /// split never changes a bit, and only the gradient blocks cross
+    /// between participants. Returns how many samples are hinge-active
+    /// (0 for [`Pass::Forward`]) and when the first shard finished its
+    /// per-sample work.
+    fn run_batch(
+        &self,
+        arena: &TreeArena,
+        chunk: &[usize],
+        pass: Pass<'_, '_>,
+        s: &mut FitScratch,
+    ) -> (usize, Instant) {
+        let ranges = self.shard_ranges(arena, chunk);
+        if s.shards.len() < ranges.len() {
+            s.shards.resize_with(ranges.len(), Default::default);
+        }
+        s.used = ranges.len();
+        let (labels, grad) = match pass {
+            Pass::Forward => (None, None),
+            Pass::Backprop { data, scale, grad } => (Some((data, scale)), Some(grad)),
+        };
+        // Neighbouring blocks are written by different shards at once,
+        // so each accumulates in its own copy, padded off its
+        // neighbours' cache lines.
+        const GAP: usize = 16;
+        if s.specs.is_empty() {
+            s.specs = self.block_specs();
+        }
+        s.padded.clear();
+        if let Some(grad) = &grad {
+            for spec in &s.specs {
+                for seg in &spec.segs {
+                    s.padded.extend_from_slice(&grad[seg.clone()]);
+                }
+                s.padded.extend([0.0; GAP]);
+            }
+        }
+        let mut rest = s.padded.as_mut_slice();
+        let blocks: Vec<GradBlock<'_>> = match grad {
+            None => Vec::new(),
+            Some(_) => s
+                .specs
+                .iter()
+                .map(|spec| {
+                    let rows = spec.segs.each_ref().map(|seg| take(&mut rest, seg.len()));
+                    take(&mut rest, GAP);
+                    GradBlock {
+                        spec,
+                        turn: AtomicUsize::new(0),
+                        rows: Mutex::new(rows),
+                    }
+                })
+                .collect(),
+        };
+        let abort = AtomicBool::new(false);
+        // `map` hands out shards in index order, so a shard waiting for
+        // its turn only ever waits on shards already claimed by a
+        // running participant — also when a busy pool runs them all
+        // inline, one after another.
+        let shards = &s.shards;
+        let done = self.pool.map(&ranges, |k, &(lo, hi)| {
+            let _abort = AbortOnUnwind(&abort);
+            let mut sh = lock(&shards[k]);
+            let part = &chunk[lo..hi];
+            self.shard_forward(arena, part, &mut sh);
+            if let Some((data, scale)) = labels {
+                self.shard_backprop(part, data, scale, &mut sh);
+            }
+            let done = Instant::now();
+            for block in &blocks {
+                if !wait_turn(&block.turn, k, &abort) {
+                    break;
+                }
+                self.accumulate(arena, &sh, block.spec, &mut lock(&block.rows));
+                block.turn.store(k + 1, Ordering::Release);
+            }
+            done
+        });
+        drop(blocks);
+        if let Some(grad) = grad {
+            let mut at = 0;
+            for spec in &s.specs {
+                for seg in &spec.segs {
+                    grad[seg.clone()].copy_from_slice(&s.padded[at..at + seg.len()]);
+                    at += seg.len();
+                }
+                at += GAP;
+            }
+        }
+        let active = s.shards[..s.used]
+            .iter_mut()
+            .map(|m| {
+                m.get_mut()
+                    .expect(POISONED)
+                    .active
+                    .iter()
+                    .filter(|&&live| live)
+                    .count()
+            })
+            .sum();
+        (active, done[0])
+    }
+
+    /// Batched training forward over one shard of trees: the same
     /// filters × tile orientation as the inference-side
     /// [`ValueModel::join_state_batch`], generalized from one window per
     /// candidate to every node of every sample. Within a tile of node
-    /// windows each filter row sweeps the gathered inputs while the
+    /// windows each filter row sweeps the inputs while the
     /// weights stay cached — a tiled filters × batch matrix product.
     /// Per-window arithmetic (`b + wn·x + wl·xl + wr·xr`, dots
     /// accumulated left to right), the strict-`>` pool over nodes in
     /// post-order, and the MLP head all replay
-    /// [`TreeConvValueModel::forward`] exactly, so batched outputs are
+    /// [`TreeConvValueModel::forward`] exactly, so outputs are
     /// bit-identical to the per-sample path at any batch geometry.
     // Filters × tile wants plain index loops over parallel slice views;
     // see `join_state_batch` for the layout rationale.
     #[allow(clippy::needless_range_loop)]
-    fn batch_forward(&self, arena: &TreeArena, chunk: &[usize], s: &mut BatchScratch) {
+    fn shard_forward(&self, arena: &TreeArena, part: &[usize], s: &mut Shard) {
         /// Node windows per tile: 3 input slices × ≤ 34 channels × 8 B
         /// × 32 ≈ 26 KB — sized to L1, matching `join_state_batch`.
         const TILE: usize = 32;
-        // Assemble the batch: gather arena nodes, rebase child links.
+        // Assemble the shard: list arena nodes, rebase child links.
         s.node.clear();
         s.kids.clear();
         s.sample_ofs.clear();
         s.sample_ofs.push(0);
-        for &ti in chunk {
+        for &ti in part {
             let range = arena.tree(ti);
-            let (tree_base, batch_base) = (range.start, s.node.len());
+            let (tree_base, shard_base) = (range.start, s.node.len());
             for g in range {
                 s.node.push(g as u32);
                 let (l, r) = arena.kids[g];
@@ -649,35 +936,33 @@ impl TreeConvValueModel {
                     (0, 0)
                 } else {
                     (
-                        (l as usize - tree_base + batch_base) as u32,
-                        (r as usize - tree_base + batch_base) as u32,
+                        (l as usize - tree_base + shard_base) as u32,
+                        (r as usize - tree_base + shard_base) as u32,
                     )
                 });
             }
             s.sample_ofs.push(s.node.len() as u32);
         }
         let nodes = s.node.len();
-        let nsamples = chunk.len();
+        let nsamples = part.len();
         let levels = self.conv.len();
-        s.acts.resize_with(levels + 1, Vec::new);
+        s.acts.resize_with(levels, Vec::new);
         s.pre.resize_with(levels, Vec::new);
-
-        // Level 0: the gathered node encodings.
-        let d0 = self.node_dim;
-        s.acts[0].clear();
-        s.acts[0].reserve(nodes * d0);
-        for &g in &s.node {
-            let at = g as usize * d0;
-            s.acts[0].extend_from_slice(&arena.feats[at..at + d0]);
-        }
 
         // Convolution stack. A layer only reads same-level activations,
         // which are complete before the next level runs, so tiles can
-        // sweep nodes in any grouping without ordering hazards.
+        // sweep nodes in any grouping without ordering hazards. Layer 0
+        // reads the node encodings straight from the arena.
         for (li, layer) in self.conv.iter().enumerate() {
             let (in_dim, out_dim) = (layer.in_dim, layer.out_dim);
-            let (lower, upper) = s.acts.split_at_mut(li + 1);
-            let x_all = lower[li].as_slice();
+            let (src, map): (&[f64], Option<&[u32]>) = match li {
+                0 => (&arena.feats, Some(&s.node)),
+                _ => (&s.acts[li - 1], None),
+            };
+            let row = |p: usize| {
+                let q = map.map_or(p, |m| m[p] as usize);
+                &src[q * in_dim..(q + 1) * in_dim]
+            };
             let z_all = &mut s.pre[li];
             z_all.clear();
             z_all.resize(nodes * out_dim, 0.0);
@@ -690,14 +975,11 @@ impl TreeConvValueModel {
                     let wr_row = &layer.wr[o * in_dim..(o + 1) * in_dim];
                     let b = layer.b[o];
                     for p in lo..hi {
-                        let x = &x_all[p * in_dim..(p + 1) * in_dim];
                         let mut z = b;
-                        z += wn_row.iter().zip(x).map(|(w, x)| w * x).sum::<f64>();
+                        z += wn_row.iter().zip(row(p)).map(|(w, x)| w * x).sum::<f64>();
                         let (lk, rk) = s.kids[p];
                         if lk != 0 {
-                            let (a, c) = (lk as usize - 1, rk as usize - 1);
-                            let xl = &x_all[a * in_dim..(a + 1) * in_dim];
-                            let xr = &x_all[c * in_dim..(c + 1) * in_dim];
+                            let (xl, xr) = (row(lk as usize - 1), row(rk as usize - 1));
                             z += wl_row.iter().zip(xl).map(|(w, x)| w * x).sum::<f64>();
                             z += wr_row.iter().zip(xr).map(|(w, x)| w * x).sum::<f64>();
                         }
@@ -706,7 +988,7 @@ impl TreeConvValueModel {
                 }
                 lo = hi;
             }
-            let a_out = &mut upper[0];
+            let a_out = &mut s.acts[li];
             a_out.clear();
             a_out.extend(z_all.iter().map(|&z| lrelu(z)));
         }
@@ -714,7 +996,7 @@ impl TreeConvValueModel {
         // Dynamic pooling per sample: strict `>` over nodes in
         // post-order, exactly as `forward`.
         let c_dim = self.conv.last().expect("at least one layer").out_dim;
-        let top = s.acts[levels].as_slice();
+        let top = s.acts[levels - 1].as_slice();
         s.pooled.clear();
         s.pooled.resize(nsamples * c_dim, f64::NEG_INFINITY);
         s.argmax.clear();
@@ -759,168 +1041,197 @@ impl TreeConvValueModel {
                     .map(|(w, x)| w * x)
                     .sum::<f64>();
         }
+        // No sample is active until the hinge gate runs.
+        s.active.clear();
+        s.d_outs.clear();
     }
 
-    /// Batched backprop over the minibatch's **active** samples,
-    /// accumulating `Σ_s d_out_s · ∂out_s/∂θ` into the flat `grad`
-    /// (layout of [`ValueModel::params`]). Samples accumulate in
-    /// minibatch order and the per-node operation sequence replays
-    /// [`TreeConvValueModel::backward`] exactly, so a one-sample batch
-    /// is bit-identical to the per-sample reference and any fixed batch
-    /// geometry sums gradients in a deterministic order. Inactive
-    /// samples (hinge-gated) are skipped entirely, matching the
-    /// per-sample path's `continue`.
-    fn batch_backward(&self, s: &mut BatchScratch, grad: &mut [f64]) {
+    /// Gates the shard's samples through the censored hinge against
+    /// `data`'s labels and backprops every active sample on its own,
+    /// leaving `∂loss/∂z` per conv level and the head's `d_h_pre` for
+    /// gradient accumulation. A tree's activation gradients only flow
+    /// within that tree, and the per-node operation sequence replays
+    /// [`TreeConvValueModel::backward`] exactly, so the results do not
+    /// depend on how samples were grouped. Inactive samples are skipped
+    /// entirely, matching the per-sample path's `continue`.
+    fn shard_backprop(&self, part: &[usize], data: &TrainSet, scale: f64, s: &mut Shard) {
+        for (bs, &i) in part.iter().enumerate() {
+            let r = s.outs[bs] - data.ys[i];
+            s.active.push(!(data.censored[i] && r >= 0.0));
+            s.d_outs.push(r * scale);
+        }
         let levels = self.conv.len();
-        // Split the flat gradient exactly as `backward` does.
-        let mut parts: Vec<&mut [f64]> = Vec::new();
-        let mut rest = grad;
-        for c in &self.conv {
-            for len in [c.wn.len(), c.wl.len(), c.wr.len(), c.b.len()] {
-                let (head, tail) = rest.split_at_mut(len);
-                parts.push(head);
-                rest = tail;
-            }
-        }
-        for len in [
-            self.head1.w.len(),
-            self.head1.b.len(),
-            self.head2.w.len(),
-            self.head2.b.len(),
-        ] {
-            let (head, tail) = rest.split_at_mut(len);
-            parts.push(head);
-            rest = tail;
-        }
-        debug_assert!(rest.is_empty());
-        let (conv_parts, head_parts) = parts.split_at_mut(4 * levels);
-
-        let nsamples = s.sample_ofs.len() - 1;
         let nodes = s.node.len();
         let c_dim = self.conv.last().expect("at least one layer").out_dim;
         let hd = self.head1.b.len();
-
-        // Head phase per active sample, then pool routing into the top
-        // conv level's activation gradients.
-        s.d_act.clear();
-        s.d_act.resize(nodes * c_dim, 0.0);
-        for si in 0..nsamples {
-            if !s.active[si] {
-                continue;
+        s.d_z.resize_with(levels, Vec::new);
+        for (d_z, layer) in s.d_z.iter_mut().zip(&self.conv) {
+            d_z.resize(nodes * layer.out_dim, 0.0);
+        }
+        s.d_h_pre.resize(part.len() * hd, 0.0);
+        let Shard {
+            kids,
+            sample_ofs,
+            pre,
+            argmax,
+            h_pre,
+            d_outs,
+            active,
+            d_z,
+            d_h_pre,
+            d_act,
+            d_below,
+            d_pooled,
+            ..
+        } = s;
+        for si in (0..part.len()).filter(|&si| active[si]) {
+            let d_out = d_outs[si];
+            // Head: the same op order as `backward` — d_h_pre, then
+            // d_pooled, then argmax routing.
+            let d_h = &mut d_h_pre[si * hd..(si + 1) * hd];
+            for ((d, w), &z) in d_h.iter_mut().zip(&self.head2.w).zip(&h_pre[si * hd..]) {
+                *d = w * d_out * lrelu_grad(z);
             }
-            let d_out = s.d_outs[si];
-            let h_act = &s.h_act[si * hd..(si + 1) * hd];
-            let h_pre = &s.h_pre[si * hd..(si + 1) * hd];
-            let pooled = &s.pooled[si * c_dim..(si + 1) * c_dim];
-            // Same op order as `backward`: head2 grads, then head1
-            // grads, then d_pooled, then argmax routing.
-            s.d_h_pre.clear();
-            s.d_h_pre.extend(
-                self.head2
-                    .w
-                    .iter()
-                    .zip(h_pre)
-                    .map(|(w, &z)| w * d_out * lrelu_grad(z)),
-            );
-            outer_acc(head_parts[2], &[d_out], h_act);
-            head_parts[3][0] += d_out;
-            outer_acc(head_parts[0], &s.d_h_pre, pooled);
-            for (g, d) in head_parts[1].iter_mut().zip(&s.d_h_pre) {
-                *g += d;
+            d_pooled.clear();
+            d_pooled.resize(c_dim, 0.0);
+            matvec_t_acc(&self.head1.w, d_h, d_pooled);
+            let base = sample_ofs[si] as usize;
+            let slots = base..sample_ofs[si + 1] as usize;
+            d_act.clear();
+            d_act.resize(slots.len() * c_dim, 0.0);
+            for (ch, &d) in d_pooled.iter().enumerate() {
+                let p = argmax[si * c_dim + ch] as usize - base;
+                d_act[p * c_dim + ch] += d;
             }
-            s.d_pooled.clear();
-            s.d_pooled.resize(c_dim, 0.0);
-            matvec_t_acc(&self.head1.w, &s.d_h_pre, &mut s.d_pooled);
-            for (ch, &d) in s.d_pooled.iter().enumerate() {
-                let p = s.argmax[si * c_dim + ch] as usize;
-                s.d_act[p * c_dim + ch] += d;
+            // Conv stack, top level down, nodes in post-order. The
+            // gradient wrt the node encodings (below level 0) feeds no
+            // parameter and is never formed.
+            for l in (0..levels).rev() {
+                let layer = &self.conv[l];
+                let (in_dim, out_dim) = (layer.in_dim, layer.out_dim);
+                let z_all = &pre[l];
+                let dz_all = &mut d_z[l];
+                for p in slots.clone() {
+                    let at = (p - base) * out_dim;
+                    for o in 0..out_dim {
+                        dz_all[p * out_dim + o] =
+                            d_act[at + o] * lrelu_grad(z_all[p * out_dim + o]);
+                    }
+                }
+                if l == 0 {
+                    break;
+                }
+                d_below.clear();
+                d_below.resize(slots.len() * in_dim, 0.0);
+                for p in slots.clone() {
+                    let dz = &dz_all[p * out_dim..(p + 1) * out_dim];
+                    let at = (p - base) * in_dim;
+                    matvec_t_acc(&layer.wn, dz, &mut d_below[at..at + in_dim]);
+                    let (lk, rk) = kids[p];
+                    if lk != 0 {
+                        let (a, c) = (
+                            (lk as usize - 1 - base) * in_dim,
+                            (rk as usize - 1 - base) * in_dim,
+                        );
+                        matvec_t_acc(&layer.wl, dz, &mut d_below[a..a + in_dim]);
+                        matvec_t_acc(&layer.wr, dz, &mut d_below[c..c + in_dim]);
+                    }
+                }
+                std::mem::swap(d_act, d_below);
             }
         }
+    }
 
-        // Conv stack, top layer down; within a level, samples in
-        // minibatch order and nodes in post-order, per-node op sequence
-        // identical to `backward`.
-        for l in (0..levels).rev() {
-            let layer = &self.conv[l];
-            let (in_dim, out_dim) = (layer.in_dim, layer.out_dim);
-            s.d_below.clear();
-            s.d_below.resize(nodes * in_dim, 0.0);
-            let x_all = s.acts[l].as_slice();
-            let z_all = s.pre[l].as_slice();
-            for si in 0..nsamples {
-                if !s.active[si] {
-                    continue;
-                }
-                for p in s.sample_ofs[si] as usize..s.sample_ofs[si + 1] as usize {
-                    s.d_z.clear();
-                    s.d_z.extend(
-                        s.d_act[p * out_dim..(p + 1) * out_dim]
-                            .iter()
-                            .zip(&z_all[p * out_dim..(p + 1) * out_dim])
-                            .map(|(&d, &z)| d * lrelu_grad(z)),
-                    );
-                    let x = &x_all[p * in_dim..(p + 1) * in_dim];
-                    outer_acc(conv_parts[4 * l], &s.d_z, x);
-                    matvec_t_acc(
-                        &layer.wn,
-                        &s.d_z,
-                        &mut s.d_below[p * in_dim..(p + 1) * in_dim],
-                    );
-                    let (lk, rk) = s.kids[p];
-                    if lk != 0 {
-                        let (a, c) = (lk as usize - 1, rk as usize - 1);
-                        outer_acc(
-                            conv_parts[4 * l + 1],
-                            &s.d_z,
-                            &x_all[a * in_dim..(a + 1) * in_dim],
-                        );
-                        outer_acc(
-                            conv_parts[4 * l + 2],
-                            &s.d_z,
-                            &x_all[c * in_dim..(c + 1) * in_dim],
-                        );
-                        matvec_t_acc(
-                            &layer.wl,
-                            &s.d_z,
-                            &mut s.d_below[a * in_dim..(a + 1) * in_dim],
-                        );
-                        matvec_t_acc(
-                            &layer.wr,
-                            &s.d_z,
-                            &mut s.d_below[c * in_dim..(c + 1) * in_dim],
-                        );
+    /// Cuts the flat gradient (layout of [`ValueModel::params`]) into
+    /// blocks of up to [`BLOCK_ROWS`] rows per layer.
+    fn block_specs(&self) -> Vec<BlockSpec> {
+        let heads = [&self.head1, &self.head2];
+        let layers = self.conv.iter().map(|c| (c.in_dim, c.out_dim, 3));
+        let layers = layers.chain(heads.iter().map(|d| (d.in_dim, d.b.len(), 1)));
+        let (mut at, mut specs) = (0, Vec::new());
+        for (layer, (in_dim, out_dim, filters)) in layers.enumerate() {
+            let (w0, b0) = (at, at + filters * out_dim * in_dim);
+            at = b0 + out_dim;
+            for lo in (0..out_dim).step_by(BLOCK_ROWS) {
+                let rows = lo..(lo + BLOCK_ROWS).min(out_dim);
+                // Head layers have one filter; their `wl`/`wr` stay empty.
+                let w = |f: usize| match f < filters {
+                    true => {
+                        let base = w0 + f * out_dim * in_dim;
+                        base + rows.start * in_dim..base + rows.end * in_dim
                     }
-                    for (g, d) in conv_parts[4 * l + 3].iter_mut().zip(&s.d_z) {
-                        *g += d;
+                    false => 0..0,
+                };
+                let segs = [w(0), w(1), w(2), b0 + rows.start..b0 + rows.end];
+                specs.push(BlockSpec { layer, rows, segs });
+            }
+        }
+        specs
+    }
+
+    /// Adds a shard's active samples into one gradient block — over
+    /// samples in order, then nodes in post-order, the per-element
+    /// sequence of [`TreeConvValueModel::backward`].
+    fn accumulate(&self, arena: &TreeArena, sh: &Shard, spec: &BlockSpec, g: &mut [&mut [f64]; 4]) {
+        let [wn, wl, wr, b] = g;
+        let (l, rows) = (spec.layer, spec.rows.clone());
+        if let Some(layer) = self.conv.get(l) {
+            let (in_dim, out_dim) = (layer.in_dim, layer.out_dim);
+            for (_, slots) in sh.active_samples() {
+                for p in slots {
+                    let dz = &sh.d_z[l][p * out_dim + rows.start..p * out_dim + rows.end];
+                    outer_acc(wn, dz, sh.input(arena, l, p, in_dim));
+                    let (lk, rk) = sh.kids[p];
+                    if lk != 0 {
+                        outer_acc(wl, dz, sh.input(arena, l, lk as usize - 1, in_dim));
+                        outer_acc(wr, dz, sh.input(arena, l, rk as usize - 1, in_dim));
+                    }
+                    for (gb, d) in b.iter_mut().zip(dz) {
+                        *gb += d;
                     }
                 }
             }
-            std::mem::swap(&mut s.d_act, &mut s.d_below);
+            return;
+        }
+        let (c_dim, hd) = (self.head1.in_dim, self.head1.b.len());
+        for (si, _) in sh.active_samples() {
+            // Head 1 maps the pooled vector to `d_h_pre`, head 2 the
+            // hidden activations to the output's `d_out`.
+            let (d, x) = if l == self.conv.len() {
+                let pooled = &sh.pooled[si * c_dim..(si + 1) * c_dim];
+                (&sh.d_h_pre[si * hd..(si + 1) * hd], pooled)
+            } else {
+                let h_act = &sh.h_act[si * hd..(si + 1) * hd];
+                (std::slice::from_ref(&sh.d_outs[si]), h_act)
+            };
+            let d = &d[rows.clone()];
+            outer_acc(wn, d, x);
+            for (gb, d) in b.iter_mut().zip(d) {
+                *gb += d;
+            }
         }
     }
 
     /// Analytic gradient of [`TreeConvValueModel::loss`] computed
-    /// through the batched kernels at minibatch size `batch` — the
-    /// finite-difference tests check this path at several batch
+    /// through the pooled minibatch kernels at minibatch size `batch` —
+    /// the finite-difference tests check this path at several batch
     /// geometries against the same numeric reference as
     /// [`TreeConvValueModel::loss_grad`] (no L2 term).
     pub fn loss_grad_batched(&self, data: &TrainSet, batch: usize) -> Vec<f64> {
         assert!(!data.is_empty(), "gradient of an empty set");
         let arena = TreeArena::build(&data.xs, self.node_dim);
         let mut grad = vec![0.0; self.num_params()];
-        let mut scratch = BatchScratch::default();
-        let inv = 1.0 / data.len() as f64;
+        let mut scratch = FitScratch::default();
+        let scale = 1.0 / data.len() as f64;
         let idxs: Vec<usize> = (0..data.len()).collect();
         for chunk in idxs.chunks(batch.max(1)) {
-            self.batch_forward(&arena, chunk, &mut scratch);
-            scratch.d_outs.clear();
-            scratch.active.clear();
-            for (bs, &i) in chunk.iter().enumerate() {
-                let r = scratch.outs[bs] - data.ys[i];
-                scratch.active.push(!(data.censored[i] && r >= 0.0));
-                scratch.d_outs.push(r * inv);
-            }
-            self.batch_backward(&mut scratch, &mut grad);
+            let grad = &mut grad;
+            self.run_batch(
+                &arena,
+                chunk,
+                Pass::Backprop { data, scale, grad },
+                &mut scratch,
+            );
         }
         grad
     }
@@ -943,13 +1254,19 @@ impl ValueModel for TreeConvValueModel {
         self.forward(&decode_tree(x)).out
     }
 
-    /// Minibatched censored-hinge SGD: the whole minibatch runs through
-    /// [`TreeConvValueModel::batch_forward`] /
-    /// [`TreeConvValueModel::batch_backward`] as filters × batch matrix
-    /// products instead of one tree at a time. The batched kernels
-    /// replay the per-sample arithmetic exactly, so at any fixed batch
-    /// geometry checkpoints are bit-identical across runs, and a batch
-    /// size of 1 reproduces [`ValueModel::fit_per_sample`] bit for bit.
+    /// Minibatched censored-hinge SGD on the model's pool (see
+    /// [`TreeConvValueModel::with_pool`]). Each minibatch is one
+    /// [`TreeConvValueModel::run_batch`]: participants shard the samples
+    /// (forward as filters × batch matrix products, hinge gate,
+    /// per-sample backprop), then pass gradient row blocks down the
+    /// shards in minibatch order; the `1/active` scale and the
+    /// [`Optimizer`] step run on the caller. The kernels replay the
+    /// per-sample arithmetic exactly, so at any fixed batch geometry
+    /// checkpoints are bit-identical across runs and pool widths, and a
+    /// batch size of 1 reproduces [`ValueModel::fit_per_sample`] bit for
+    /// bit. `forward_secs` runs until the first shard has finished its
+    /// forward and per-sample backprop (plus the final error pass),
+    /// `backward_secs` from there through the update.
     fn fit(&mut self, data: TrainSet, cfg: &SgdConfig, rng: &mut SmallRng) -> FitReport {
         assert_eq!(data.xs.len(), data.ys.len());
         assert_eq!(data.censored.len(), data.ys.len());
@@ -970,29 +1287,22 @@ impl ValueModel for TreeConvValueModel {
         let mut grad = vec![0.0; params.len()];
         let mut opt = Optimizer::new(cfg, params.len());
         let mut order: Vec<usize> = (0..n).collect();
-        let mut scratch = BatchScratch::default();
+        let mut scratch = FitScratch::default();
         let mut steps = 0u64;
         let (mut forward_secs, mut backward_secs) = (0.0, 0.0);
         for _epoch in 0..cfg.epochs {
             shuffle_epoch_order(&mut order, rng);
             for chunk in order.chunks(cfg.batch.max(1)) {
                 let t0 = Instant::now();
-                self.batch_forward(&arena, chunk, &mut scratch);
-                let t1 = Instant::now();
+                grad.iter_mut().for_each(|g| *g = 0.0);
+                let pass = Pass::Backprop {
+                    data: &data,
+                    scale: 1.0,
+                    grad: &mut grad,
+                };
+                let (active, t1) = self.run_batch(&arena, chunk, pass, &mut scratch);
                 forward_secs += (t1 - t0).as_secs_f64();
-                let mut active = 0usize;
-                scratch.d_outs.clear();
-                scratch.active.clear();
-                for (bs, &i) in chunk.iter().enumerate() {
-                    let r = scratch.outs[bs] - data.ys[i];
-                    let live = !(data.censored[i] && r >= 0.0);
-                    scratch.d_outs.push(r);
-                    scratch.active.push(live);
-                    active += usize::from(live);
-                }
                 if active > 0 {
-                    grad.iter_mut().for_each(|g| *g = 0.0);
-                    self.batch_backward(&mut scratch, &mut grad);
                     let inv = 1.0 / active as f64;
                     grad.iter_mut().for_each(|g| *g *= inv);
                     opt.step(cfg, &mut params, &grad, &mask);
@@ -1003,14 +1313,19 @@ impl ValueModel for TreeConvValueModel {
             }
         }
 
-        // Final training error through the batched forward, samples in
+        // Final training error through the sharded forward, summed in
         // dataset order (the same accumulation order as per-sample).
         let idxs: Vec<usize> = (0..n).collect();
         let mut total = 0.0;
         for chunk in idxs.chunks(cfg.batch.max(1)) {
-            self.batch_forward(&arena, chunk, &mut scratch);
-            for (bs, &i) in chunk.iter().enumerate() {
-                let r = scratch.outs[bs] - data.ys[i];
+            let t0 = Instant::now();
+            self.run_batch(&arena, chunk, Pass::Forward, &mut scratch);
+            forward_secs += t0.elapsed().as_secs_f64();
+            let outs = scratch.shards[..scratch.used]
+                .iter_mut()
+                .flat_map(|m| &m.get_mut().expect(POISONED).outs);
+            for (&out, &i) in outs.zip(chunk) {
+                let r = out - data.ys[i];
                 if !(data.censored[i] && r >= 0.0) {
                     total += r * r;
                 }
@@ -1520,6 +1835,72 @@ mod tests {
             assert_eq!(p, per_sample.params(), "{optimizer:?}");
             assert_eq!(a.steps, b.steps);
             assert_eq!(a.mse.to_bits(), b.mse.to_bits());
+        }
+    }
+
+    /// The pooled fit is bit-identical for any pool width: 1, 2 and 3
+    /// participants at batch sizes 1, 7 and 64 (several gradient blocks
+    /// per layer), over censored labels and a minibatch in which every
+    /// sample is hinge-inactive. At batch 1 every width also matches the
+    /// per-sample reference.
+    #[test]
+    fn fit_is_bit_identical_for_any_pool_width() {
+        const SEED: u64 = 0x5EED;
+        let n = 150;
+        let mut rng = SmallRng::seed_from_u64(0x7EAD);
+        let xs: Vec<Vec<f64>> = (0..n)
+            .map(|i| random_tree(1 + i % 9, 5, &mut rng))
+            .collect();
+        let model = || {
+            let cfg = TreeConvConfig {
+                conv_channels: vec![10, 9],
+                mlp_hidden: 9,
+            };
+            let mut m = TreeConvValueModel::new(5, cfg);
+            m.init_weights(0.5, &mut SmallRng::seed_from_u64(0xAB));
+            m
+        };
+        let bits = |m: &TreeConvValueModel| -> Vec<u64> {
+            m.params().iter().map(|p| p.to_bits()).collect()
+        };
+        for batch in [1usize, 7, 64] {
+            // The model is initialized, so the fit's RNG only shuffles:
+            // replay epoch 0 and make its first minibatch all samples
+            // censored far below any prediction (hinge-inactive).
+            let mut order: Vec<usize> = (0..n).collect();
+            shuffle_epoch_order(&mut order, &mut SmallRng::seed_from_u64(SEED));
+            let dead = &order[..batch];
+            let data = TrainSet {
+                xs: xs.clone(),
+                ys: (0..n)
+                    .map(|i| match dead.contains(&i) {
+                        true => -1e6,
+                        false => (i % 11) as f64 * 0.3 - 1.0,
+                    })
+                    .collect(),
+                censored: (0..n).map(|i| dead.contains(&i) || i % 4 == 0).collect(),
+            };
+            let cfg = SgdConfig {
+                epochs: 3,
+                batch,
+                lr: 0.003,
+                optimizer: crate::model::OptimizerKind::Adam,
+                ..SgdConfig::default()
+            };
+            let fit = |threads: usize| {
+                let mut m = model().with_pool(WorkerPool::new(threads));
+                let r = m.fit(data.clone(), &cfg, &mut SmallRng::seed_from_u64(SEED));
+                (bits(&m), r.steps, r.mse.to_bits())
+            };
+            let serial = fit(1);
+            for threads in [2, 3] {
+                assert_eq!(fit(threads), serial, "batch {batch}, {threads} threads");
+            }
+            if batch == 1 {
+                let mut m = model();
+                let r = m.fit_per_sample(data.clone(), &cfg, &mut SmallRng::seed_from_u64(SEED));
+                assert_eq!((bits(&m), r.steps, r.mse.to_bits()), serial, "per-sample");
+            }
         }
     }
 

@@ -240,7 +240,11 @@ fn disconnected_query_errors_through_evaluate_learned() {
     let eval_env = ExecutionEnv::postgres_sim(db.clone());
     let est = HistogramEstimator::new(&db);
     let featurizer = Featurizer::new(db.clone(), eval_env.profile().weights, true);
-    let model = balsa_learn::make_model(ModelKind::Linear, &featurizer);
+    let model = balsa_learn::make_model(
+        ModelKind::Linear,
+        &featurizer,
+        &balsa_search::WorkerPool::new(1),
+    );
     for mode in [SearchMode::Bushy, SearchMode::LeftDeep] {
         let res = evaluate_learned(
             &db,
@@ -416,10 +420,12 @@ fn train_loop_is_deterministic_with_identical_checkpoints() {
     }
 }
 
-/// Parallel planning determinism: `train_loop` on the worker pool
-/// produces **bit-identical** checkpoint parameters to the serial run,
-/// for both model families. Per-query exploration RNGs plus the pool's
-/// deterministic merge order make thread count a pure wall-clock knob.
+/// Parallel planning, execution and fit determinism: `train_loop` on
+/// the worker pool produces **bit-identical** checkpoint parameters to
+/// the serial run, for both model families. Per-query exploration RNGs,
+/// the pool's deterministic merge order, and the tree-conv fit's
+/// minibatch-order sums make thread count a pure wall-clock knob.
+/// Compared through `to_bits`, so `0.0` vs `-0.0` or a NaN would fail.
 #[test]
 fn parallel_train_loop_matches_serial_checkpoints_bitwise() {
     let db = small_db();
@@ -450,7 +456,8 @@ fn parallel_train_loop_matches_serial_checkpoints_bitwise() {
             let env = ExecutionEnv::postgres_sim(db.clone());
             let o = train_loop(&db, &env, &w, &split, &cfg);
             let buffer_real = o.buffer.count(LabelSource::Real);
-            (o.model.params(), buffer_real)
+            let bits: Vec<u64> = o.model.params().iter().map(|p| p.to_bits()).collect();
+            (bits, buffer_real)
         };
         let (serial_params, serial_real) = run(1);
         let (pooled_params, pooled_real) = run(3);
